@@ -2,7 +2,7 @@
 
 from conftest import ENGINE
 
-from repro.experiments.report import format_table
+from repro.obs.render import format_table
 from repro.experiments.sensitivity import ALL_SENSITIVITIES
 
 

@@ -19,10 +19,8 @@ sharded :class:`~repro.serve.pool.WorkerPool`.  The HTTP layer
 (:mod:`repro.serve.server`) holds a Session and translates requests
 into exactly these calls — it adds a wire codec, never semantics.
 
-Stability: this module is the frozen surface (see DESIGN.md).  Legacy
-call shapes live one release in :mod:`repro.api.compat` with
-``DeprecationWarning``; everything else in the package is internal and
-may change without notice.
+Stability: this module is the frozen surface (see DESIGN.md); everything
+else in the package is internal and may change without notice.
 
 Jobs take three fast paths before a worker process is ever spawned:
 

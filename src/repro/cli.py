@@ -48,7 +48,7 @@ from repro.experiments.barriers import (PAPER_SIZES, QUICK_SIZES,
 from repro.experiments.engine import ExperimentEngine, request
 from repro.experiments.regions import (figure10_rows, figure11_rows,
                                        run_region_study, swqueue_rows)
-from repro.experiments.report import format_series, format_table
+from repro.obs.render import format_series, format_table
 from repro.experiments.tables import table1, table2, table3
 from repro.experiments.whole_program import (figure8_rows, figure9_rows,
                                              whole_program_study)
@@ -335,7 +335,7 @@ def _cmd_profile_hot(args) -> int:
     print(f"{spec.name}: {cycles} cycles")
     print(f"blockgen: {windows} windows, {fused} fused cycles "
           f"({fused / cycles:.1%} of total), {deopts} deopts")
-    print(f"multi-core: {machine._bg_multi.windows} fused windows, "
+    print(f"walk: {machine._bg_multi.windows} fused windows, "
           f"{machine._bg_multi.fused_cycles} core-cycles stepped")
     print(f"block cache: {compiles} compiles, {entries} entries, "
           f"hit rate {hit_rate:.1%}")

@@ -13,39 +13,41 @@ decisions out of the loop:
   value-producing instruction is code-generated from the source templates
   in :mod:`repro.cpu.exec` (``ALU_EXPR``/``FP_EXPR``/``BRANCH_EXPR``)
   with immediates and branch targets folded in as literals.
-* :class:`BlockRunner.run_window` is a specialized re-implementation of
-  ``OutOfOrderCore.tick`` for the single-active-core, no-observer case:
-  all mutable scalars live in locals, per-PC metadata lives in dense
-  tables, and hot counters accumulate locally and flush once per window.
-  It executes cycles ``[start, limit)`` and returns the first un-ticked
-  cycle.  **Every architectural effect is cycle- and stats-exact against
-  the interpreter** — tests/test_fastforward.py sweeps the two against
-  each other, and ``repro bench --check`` gates on identical cycles.
-* **Deoptimization**: whenever a serialized op (SPL/comm port, atomic,
-  FENCE, HALT) comes within retire reach of the ROB head, the window
-  ends *before* ticking that cycle and the interpreter takes over.
-  Branch mispredicts, icache misses, and structural stalls are handled
-  inline through the interpreter's own machinery (``_flush_from_seq``,
-  stall counters), not by deopt — they are exactly replicable.
-* **Multi-core windows**: :class:`MultiBlockRunner` generalizes the
-  fused loop to N active cores.  Each cycle it walks the cores in index
-  order — the naive loop's order, which fixes the shared-memory /
-  snoop-invalidation interleaving — and advances each one either by a
-  resident :meth:`BlockRunner.drive` generator (hoisted once per
-  residency, one compiled tick-equivalent cycle per send; a sibling's
-  snoop invalidation is *deferred* while the generator holds the
-  core's scalars and replayed, bit-exact, at the victim's next cycle
-  slot after a writeback sync) or, when a serialized op is within
-  retire reach, by an interpreted ``core.tick`` — per-core deopt, the
-  window continues for the rest.  Controllers stay un-ticked (the §6 event-horizon bound
-  taken at window start) until the first interpreted tick, which may
-  touch an SPL/comm port; from then on they tick every cycle.
-  Quiescent interpreted cores are handed to the fast-forward elision
-  machinery *inside* the window (``ff_elide``/``credit_fast_forward``
-  — the same plans the machine loop resumes), and a stretch where only
-  one compiled core remains live delegates to the single-core
-  ``run_window`` with a poke escape so snoop wakes of elided siblings
-  still land on their exact cycle.
+* :meth:`BlockRunner.drive` is the one compiled re-implementation of
+  ``OutOfOrderCore.tick``, a resident generator: all mutable scalars
+  live in locals for as long as the core stays compiled, per-PC
+  metadata lives in dense tables, and hot counters accumulate locally
+  and flush once per window.  **Every architectural effect is cycle-
+  and stats-exact against the interpreter** — tests/test_fastforward.py
+  sweeps the two against each other, and ``repro bench --check`` gates
+  on identical cycles.
+* **One walk**: :class:`MultiBlockRunner` runs every compiled window,
+  one core or many.  Each cycle it walks the cores in index order —
+  the naive loop's order, which fixes the shared-memory /
+  snoop-invalidation interleaving — and advances each one by a send
+  to its resident generator (a sibling's snoop invalidation is
+  *deferred* while the generator holds the core's scalars and
+  replayed, bit-exact, at the victim's next cycle slot after a
+  writeback sync) or by an interpreted ``core.tick``.  Controllers
+  stay un-ticked (the §6 event-horizon bound taken at window start)
+  until that bound arrives or a cycle touches an SPL/comm port; from
+  then on they tick every cycle until a quiet cycle re-proves a bound.
+  Quiescent cores are handed to the fast-forward elision machinery
+  *inside* the window (``ff_elide``/``credit_fast_forward`` — the same
+  plans the machine loop resumes).
+* **Bursts**: while exactly one core is live and the controllers are
+  quiet, its generator runs cycles back to back without yielding, up
+  to the controllers' comeback or the earliest elided wake.  A store
+  that snoop-pokes an elided sibling ends the burst at that cycle, and
+  the walk finishes the cycle's core loop there, so the sibling resumes
+  on exactly the cycle the naive order gives it.
+* **Deoptimization**: a hard serialized op (HALT, FENCE, atomic)
+  within retire reach of the ROB head hands that core's cycle to the
+  interpreter; the window continues for the rest.  SPL ops run compiled
+  through the interpreter's own ``_exec_serialize``.  Branch
+  mispredicts, icache misses, and structural stalls are handled inline
+  through the interpreter's own machinery (``_flush_from_seq``, stall
+  counters), not by deopt — they are exactly replicable.
 
 Compiled blocks are memoized on the ``Program`` object, keyed by
 ``BLOCKGEN_VERSION``, the core config, and a content fingerprint of the
@@ -99,7 +101,7 @@ _NAMESPACE = {
 
 _POOL_IDS = {"int": 0, "fp": 1, "branch": 2, "mem": 3}
 
-#: Serialized ops the multi-core drive loop executes *compiled*, by
+#: Serialized ops the drive loop executes *compiled*, by
 #: calling the interpreter's own ``_exec_serialize`` at the retire
 #: stage's exact point in the cycle.  They only touch shared structures
 #: (port/controller, memory, pending_stores, the ready heap via
@@ -334,8 +336,11 @@ class BlockRunner:
         # List rows are patched in place when their block compiles.
         self.exec_meta = []
         self.ser_tab = []      # info.serialize per pc
-        self.park_tab = []     # 1=spl_recv, 2=spl_store: head park compiles
-        self.hard_tab = []     # serialized op the compiled loop deopts for
+        # gate_tab[pc]: what a serialized op within retire reach means
+        # for the compiled loop — 0 nothing (not serialized, or an SPL op
+        # it executes), 1 spl_recv / 2 spl_store (may park at the head),
+        # 3 a hard op it deopts for.
+        self.gate_tab = []
         self.st_tab = []       # retire-time write closure, or None
         self.dest_tab = []     # inst._dest per pc
         self.br_tab = []       # (mode 1=cond/2=JR/0=direct, target) or None
@@ -355,10 +360,13 @@ class BlockRunner:
                  rs1, rs2))
             self.ser_tab.append(info.serialize)
             op = inst.op
-            self.park_tab.append(
-                1 if op is Op.SPL_RECV else (2 if op is Op.SPL_STORE else 0))
-            self.hard_tab.append(
-                info.serialize and op not in _EXEC_SER_OPS)
+            if op is Op.SPL_RECV:
+                self.gate_tab.append(1)
+            elif op is Op.SPL_STORE:
+                self.gate_tab.append(2)
+            else:
+                self.gate_tab.append(
+                    3 if info.serialize and op not in _EXEC_SER_OPS else 0)
             if info.serialize:
                 meta = None
             elif info.is_load:
@@ -411,593 +419,35 @@ class BlockRunner:
                 meta[1] = fn
         self.installed[block.bid] = 1
 
-    # ------------------------------------------------------------------ run
-
-    def run_window(self, start: int, limit: int, poke_watch=()) -> int:
-        """Tick the core for cycles ``[start, limit)``; return the first
-        cycle not ticked (== ``limit`` unless a serialized op deopts).
-
-        A faithful transliteration of ``OutOfOrderCore.tick`` and the
-        stage methods it calls, specialized for: exactly this core
-        active, no observability sinks, no fast-forward elision in
-        progress.  Any edit to the pipeline stages must be mirrored
-        here — the differential sweep in tests/test_fastforward.py and
-        the fuzzer's agreement contract exist to catch drift.
-
-        ``poke_watch`` is the multi-core delegation escape: sibling
-        cores whose elision plans this window must not run past.  This
-        core's stores can snoop-invalidate a watched sibling's line,
-        which sets its ``ff_poke`` ("must tick next cycle"); the window
-        exits *before* ticking any cycle at which a watched poke is
-        pending, so the caller can resume the sibling on its exact
-        cycle.  The default () keeps the single-core path unchanged.
-        """
-        core = self.core
-        ctx = core.ctx
-        if ctx is None or core.halted or start < core.stall_until:
-            return start
-        core._obs_pipe = False
-
-        fetch_tab = self.fetch_tab
-        disp_tab = self.disp_tab
-        exec_meta = self.exec_meta
-        ser_tab = self.ser_tab
-        st_tab = self.st_tab
-        dest_tab = self.dest_tab
-        br_tab = self.br_tab
-        pool_tab = self.pool_tab
-        installed = self.installed
-        block_of = self.bp.block_of
-
-        rob = core.rob
-        ready = core.ready
-        fetch_queue = core.fetch_queue
-        completing = core.completing
-        store_entries = core.store_entries
-        blocked_loads = core.blocked_loads
-        rat = core.rat
-        pending_stores = core.pending_stores
-        predictor = core.predictor
-        predict_direction = predictor.predict_direction
-        update_direction = predictor.update_direction
-        btb_update = predictor.btb_update
-        btb_lookup = predictor.btb_lookup
-        ras_push = predictor.ras_push
-        ras_pop = predictor.ras_pop
-        data_access = core.mem_system.data_access
-        inst_fetch = core.mem_system.inst_fetch
-        index = core.index
-        stats_bump = core.stats.bump
-        ctx_read = ctx.read
-        ctx_write = ctx.write
-        rp = core._retire_pcs
-
-        # Mutable scalars: locals for the window, written back at exit.
-        seq = core.seq
-        fetch_pc = core.fetch_pc
-        fetch_resume = core.fetch_resume
-        last_fetch_line = core.last_fetch_line
-        sb_next_free = core.sb_next_free
-        last_retire_cycle = core.last_retire_cycle
-        int_iq_used = core.int_iq_used
-        fp_iq_used = core.fp_iq_used
-        lq_used = core.lq_used
-        sq_used = core.sq_used
-        rename_int_used = core.rename_int_used
-        rename_fp_used = core.rename_fp_used
-
-        rob_entries = core._rob_entries
-        fp_queue = core._fp_queue
-        int_queue = core._int_queue
-        load_queue = core._load_queue
-        store_queue = core._store_queue
-        decode_width = core._decode_width
-        retire_width = core._retire_width
-        issue_width = core._issue_width
-        fetch_width = core._fetch_width
-        queue_cap = core._fetch_queue_cap
-        l1i_hit = core._l1i_hit
-        l1d_hit = core.config.l1d.hit_latency
-        rename_limit_int = core._rename_limit_int
-        rename_limit_fp = core._rename_limit_fp
-        program_end = core._program_end
-        frontend_delay = FRONTEND_DELAY
-        h_int, h_fp = HOLD_INT_IQ, HOLD_FP_IQ
-        h_lq, h_sq = HOLD_LQ, HOLD_SQ
-        h_ri, h_rf = HOLD_REN_INT, HOLD_REN_FP
-
-        # Deferred hot counters (flushed once at window exit; every key
-        # is pre-declared so the adds are equivalent to stats.bump).
-        n_cycles = n_fetched = n_dispatched = n_issued = n_retired = 0
-        n_int = n_fp = n_loads = n_stores = n_branches = 0
-
-        cycle = start
-        deopt = False
-        # Sibling pokes can only originate from this core's own stores
-        # (the one poke source live inside compiled code is the snoop
-        # invalidation a retired store sends through the hierarchy), so
-        # the escape check only needs to run on cycles following a store.
-        poke_stores = 0
-        while cycle < limit:
-            if poke_watch and n_stores != poke_stores:
-                poke_stores = n_stores
-                poked = False
-                for other in poke_watch:
-                    if other.ff_poke:
-                        poked = True
-                        break
-                if poked:
-                    break
-            # Deopt guard: a serialized op within retire reach of the
-            # ROB head would execute via _exec_serialize this cycle (at
-            # most retire_width entries pop per cycle, so deeper ones
-            # cannot become head).  Hand the cycle to the interpreter.
-            if rob:
-                k = retire_width
-                for entry in rob:
-                    if ser_tab[entry.pc]:
-                        deopt = True
-                        break
-                    k -= 1
-                    if not k:
-                        break
-                if deopt:
-                    break
-            n_cycles += 1
-
-            # ------------------------------------------------ writeback
-            if completing:
-                entries = completing.pop(cycle, None)
-                if entries:
-                    entries.sort(key=_BY_SEQ)
-                    for entry in entries:
-                        if entry.flushed or entry.state == 2:
-                            continue
-                        entry.state = 2
-                        value = entry.value
-                        for consumer, slot in entry.consumers:
-                            if consumer.flushed:
-                                continue
-                            consumer.srcs[slot] = value
-                            consumer.remaining -= 1
-                            if consumer.remaining == 0 and \
-                                    consumer.state == 0 and \
-                                    not ser_tab[consumer.pc]:
-                                heappush(ready,
-                                         (consumer.seq, consumer))
-                        entry.consumers = []
-                        branch = br_tab[entry.pc]
-                        if branch is not None:
-                            mode, target = branch
-                            actual = entry.actual_next
-                            if mode == 1:
-                                update_direction(entry.pc,
-                                                 actual == target)
-                            elif mode == 2:
-                                btb_update(entry.pc, actual)
-                            n_branches += 1
-                            if actual != entry.pred_next:
-                                # Mispredict: flush through the
-                                # interpreter's machinery.  _release
-                                # reads the occupancy counters, so sync
-                                # them first, then re-hoist everything
-                                # the flush rebinds.
-                                core.int_iq_used = int_iq_used
-                                core.fp_iq_used = fp_iq_used
-                                core.lq_used = lq_used
-                                core.sq_used = sq_used
-                                core.rename_int_used = rename_int_used
-                                core.rename_fp_used = rename_fp_used
-                                stats_bump("mispredicts")
-                                core._flush_from_seq(entry.seq + 1,
-                                                     cycle, actual)
-                                rob = core.rob
-                                rat = core.rat
-                                store_entries = core.store_entries
-                                blocked_loads = core.blocked_loads
-                                int_iq_used = core.int_iq_used
-                                fp_iq_used = core.fp_iq_used
-                                lq_used = core.lq_used
-                                sq_used = core.sq_used
-                                rename_int_used = core.rename_int_used
-                                rename_fp_used = core.rename_fp_used
-                                fetch_pc = core.fetch_pc
-                                fetch_resume = core.fetch_resume
-                                last_fetch_line = core.last_fetch_line
-
-            # --------------------------------------------------- retire
-            if rob or pending_stores:
-                while pending_stores and pending_stores[0] <= cycle:
-                    pending_stores.popleft()
-                retired = 0
-                last_next = 0
-                while rob and retired < retire_width:
-                    head = rob[0]
-                    if head.state != 2:
-                        break
-                    pc = head.pc
-                    write_fn = st_tab[pc]
-                    if write_fn is not None:
-                        if len(pending_stores) >= store_queue:
-                            stats_bump("store_buffer_stalls")
-                            break
-                        addr = head.addr
-                        write_fn(addr, head.store_value)
-                        begin = sb_next_free
-                        if begin < cycle:
-                            begin = cycle
-                        done = data_access(index, addr, True, begin)
-                        sb_next_free = done
-                        pending_stores.append(done)
-                        n_stores += 1
-                    dest = dest_tab[pc]
-                    if dest is not None:
-                        ctx_write(dest, head.value)
-                        if rat.get(dest) is head:
-                            del rat[dest]
-                    rob.popleft()
-                    if write_fn is not None:
-                        if head in store_entries:
-                            store_entries.remove(head)
-                        if blocked_loads:
-                            for load in blocked_loads:
-                                if not load.flushed:
-                                    heappush(ready, (load.seq, load))
-                            blocked_loads.clear()
-                    held = head.held
-                    if held:
-                        if held & h_int:
-                            int_iq_used -= 1
-                        elif held & h_fp:
-                            fp_iq_used -= 1
-                        if held & h_lq:
-                            lq_used -= 1
-                        if held & h_sq:
-                            sq_used -= 1
-                        if held & h_ri:
-                            rename_int_used -= 1
-                        elif held & h_rf:
-                            rename_fp_used -= 1
-                        head.held = 0
-                    if rp is not None:
-                        rp[pc] = rp.get(pc, 0) + 1
-                    last_next = head.actual_next
-                    retired += 1
-                if retired:
-                    ctx.pc = last_next
-                    ctx.retired_instructions += retired
-                    last_retire_cycle = cycle
-                    n_retired += retired
-
-            # ---------------------------------------------------- issue
-            if ready:
-                budget = issue_width
-                fu_used = [0, 0, 0, 0]
-                put_back = None
-                issued = 0
-                int_iq_freed = 0
-                fp_iq_freed = 0
-                while budget > 0 and ready:
-                    entry = heappop(ready)[1]
-                    if entry.flushed or entry.state != 0:
-                        continue
-                    pc = entry.pc
-                    pool, pool_limit = pool_tab[pc]
-                    if fu_used[pool] >= pool_limit:
-                        if put_back is None:
-                            put_back = [entry]
-                        else:
-                            put_back.append(entry)
-                        continue
-                    meta = exec_meta[pc]
-                    kind = meta[0]
-                    srcs = entry.srcs
-                    if kind == 0:
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.value = fn(srcs[0], srcs[1])
-                        entry.state = 1
-                        done = cycle + meta[2]
-                        n_int += 1
-                    elif kind == 4:
-                        addr = srcs[0] + meta[3]
-                        size = meta[2]
-                        forward = None
-                        blocked = False
-                        for store in reversed(store_entries):
-                            if store.seq > entry.seq or store.flushed:
-                                continue
-                            store_addr = store.addr
-                            if store_addr is None:
-                                blocked = True
-                                break
-                            if store_addr == addr and \
-                                    store.size == size:
-                                forward = store
-                                break
-                            if store_addr < addr + size and \
-                                    addr < store_addr + store.size:
-                                blocked = True
-                                break
-                        if blocked:
-                            blocked_loads.append(entry)
-                            continue
-                        entry.addr = addr
-                        entry.size = size
-                        entry.state = 1
-                        if forward is not None:
-                            conv = meta[4]
-                            raw = forward.store_value
-                            entry.value = raw if conv is None \
-                                else conv(raw)
-                            done = cycle + l1d_hit
-                            stats_bump("load_forwards")
-                        else:
-                            entry.value = meta[1](addr)
-                            done = data_access(index, addr, False,
-                                               cycle)
-                        n_loads += 1
-                    elif kind == 2:
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.actual_next = fn(srcs[0], srcs[1])
-                        link = meta[2]
-                        if link is not None:
-                            entry.value = link
-                        entry.state = 1
-                        done = cycle + 1
-                    elif kind == 3:
-                        entry.addr = srcs[0] + meta[3]
-                        entry.size = meta[2]
-                        entry.store_value = srcs[1]
-                        entry.state = 1
-                        done = cycle + 1
-                        if blocked_loads:
-                            for load in blocked_loads:
-                                if not load.flushed:
-                                    heappush(ready, (load.seq, load))
-                            blocked_loads.clear()
-                    else:  # kind == 1: FP
-                        fn = meta[1]
-                        if fn is None:
-                            self._install(block_of[pc])
-                            fn = meta[1]
-                        entry.value = fn(srcs[0], srcs[1])
-                        entry.state = 1
-                        done = cycle + meta[2]
-                        n_fp += 1
-                    entry.completion = done
-                    bucket = completing.get(done)
-                    if bucket is None:
-                        completing[done] = [entry]
-                    else:
-                        bucket.append(entry)
-                    fu_used[pool] += 1
-                    budget -= 1
-                    held = entry.held
-                    if held & h_int:
-                        int_iq_freed += 1
-                        entry.held = held & ~h_int
-                    elif held & h_fp:
-                        fp_iq_freed += 1
-                        entry.held = held & ~h_fp
-                    issued += 1
-                if issued:
-                    n_issued += issued
-                    int_iq_used -= int_iq_freed
-                    fp_iq_used -= fp_iq_freed
-                if put_back is not None:
-                    for entry in put_back:
-                        heappush(ready, (entry.seq, entry))
-
-            # ------------------------------------------------- dispatch
-            if fetch_queue:
-                dispatched = 0
-                while fetch_queue and dispatched < decode_width:
-                    inst, pc, pred_next, fetched_at = fetch_queue[0]
-                    if cycle < fetched_at + frontend_delay:
-                        break
-                    if len(rob) >= rob_entries:
-                        stats_bump("rob_full_stalls")
-                        break
-                    (needs_fp_iq, needs_int_iq, uses_lq, uses_sq, dest,
-                     dest_fp, held, rs1, rs2) = disp_tab[pc]
-                    if needs_fp_iq and fp_iq_used >= fp_queue:
-                        stats_bump("iq_full_stalls")
-                        break
-                    if needs_int_iq and int_iq_used >= int_queue:
-                        stats_bump("iq_full_stalls")
-                        break
-                    if uses_lq and lq_used >= load_queue:
-                        stats_bump("lsq_full_stalls")
-                        break
-                    if uses_sq and sq_used >= store_queue:
-                        stats_bump("lsq_full_stalls")
-                        break
-                    if dest is not None:
-                        if dest_fp:
-                            if rename_fp_used >= rename_limit_fp:
-                                stats_bump("rename_stalls")
-                                break
-                        elif rename_int_used >= rename_limit_int:
-                            stats_bump("rename_stalls")
-                            break
-                    fetch_queue.popleft()
-                    entry = RobEntry(seq, inst, pc, pred_next)
-                    seq += 1
-                    srcs = entry.srcs
-                    if rs1 is not None:
-                        producer = rat.get(rs1)
-                        if producer is None:
-                            srcs[0] = ctx_read(rs1)
-                        elif producer.state == 2:
-                            srcs[0] = producer.value
-                        else:
-                            producer.consumers.append((entry, 0))
-                            entry.remaining += 1
-                            srcs[0] = None
-                    if rs2 is not None:
-                        producer = rat.get(rs2)
-                        if producer is None:
-                            srcs[1] = ctx_read(rs2)
-                        elif producer.state == 2:
-                            srcs[1] = producer.value
-                        else:
-                            producer.consumers.append((entry, 1))
-                            entry.remaining += 1
-                            srcs[1] = None
-                    entry.held = held
-                    if needs_fp_iq:
-                        fp_iq_used += 1
-                    if needs_int_iq:
-                        int_iq_used += 1
-                    if uses_lq:
-                        lq_used += 1
-                    if uses_sq:
-                        sq_used += 1
-                        store_entries.append(entry)
-                    if dest is not None:
-                        if dest_fp:
-                            rename_fp_used += 1
-                        else:
-                            rename_int_used += 1
-                        rat[dest] = entry
-                    rob.append(entry)
-                    if entry.remaining == 0 and \
-                            (needs_fp_iq or needs_int_iq):
-                        heappush(ready, (entry.seq, entry))
-                    dispatched += 1
-                if dispatched:
-                    n_dispatched += dispatched
-
-            # ---------------------------------------------------- fetch
-            # stop_fetch is provably constant within a window (the
-            # machine only engages un-drained cores and HALT deopts
-            # before retiring), so the guard reduces to the two locals.
-            if cycle >= fetch_resume and fetch_pc >= 0:
-                fetched = 0
-                while fetched < fetch_width and \
-                        len(fetch_queue) < queue_cap:
-                    pc = fetch_pc
-                    if pc < 0 or pc >= program_end:
-                        break
-                    line = pc >> 3
-                    if line != last_fetch_line:
-                        done = inst_fetch(index, pc, cycle)
-                        last_fetch_line = line
-                        if done > cycle + l1i_hit:
-                            fetch_resume = done
-                            stats_bump("icache_stall_cycles",
-                                       done - cycle)
-                            break
-                    fetch_meta = fetch_tab[pc]
-                    kind = fetch_meta[1]
-                    if kind == 0:
-                        pred_next = pc + 1
-                    elif kind == 1:
-                        pred_next = fetch_meta[2] \
-                            if predict_direction(pc) else pc + 1
-                    elif kind == 5:  # HALT: fetch stops dead
-                        fetch_queue.append(
-                            (fetch_meta[0], pc, pc + 1, cycle))
-                        fetched += 1
-                        fetch_pc = -1
-                        break
-                    elif kind == 2:
-                        pred_next = fetch_meta[2]
-                    elif kind == 3:
-                        ras_push(pc + 1)
-                        pred_next = fetch_meta[2]
-                    else:  # kind == 4: JR
-                        target = ras_pop()
-                        if target is None:
-                            target = btb_lookup(pc)
-                        pred_next = -1 if target is None else target
-                    block = fetch_meta[3]
-                    if block is not None:
-                        block.hits += 1
-                        if not installed[block.bid]:
-                            self._install(block)
-                    fetch_queue.append(
-                        (fetch_meta[0], pc, pred_next, cycle))
-                    fetched += 1
-                    fetch_pc = pred_next
-                    if pred_next != pc + 1:
-                        break
-                if fetched:
-                    n_fetched += fetched
-
-            cycle += 1
-
-        # Window exit: write the hoisted scalars and deferred counters
-        # back to the core.
-        core.seq = seq
-        core.fetch_pc = fetch_pc
-        core.fetch_resume = fetch_resume
-        core.last_fetch_line = last_fetch_line
-        core.sb_next_free = sb_next_free
-        core.last_retire_cycle = last_retire_cycle
-        core.int_iq_used = int_iq_used
-        core.fp_iq_used = fp_iq_used
-        core.lq_used = lq_used
-        core.sq_used = sq_used
-        core.rename_int_used = rename_int_used
-        core.rename_fp_used = rename_fp_used
-        cnt = core._cnt
-        if n_cycles:
-            cnt["cycles"] += n_cycles
-        if n_fetched:
-            cnt["fetched"] += n_fetched
-        if n_dispatched:
-            cnt["dispatched"] += n_dispatched
-        if n_issued:
-            cnt["issued"] += n_issued
-        if n_retired:
-            cnt["retired"] += n_retired
-        if n_int:
-            cnt["int_ops"] += n_int
-        if n_fp:
-            cnt["fp_ops"] += n_fp
-        if n_loads:
-            cnt["loads"] += n_loads
-        if n_stores:
-            cnt["stores"] += n_stores
-        if n_branches:
-            cnt["branches_resolved"] += n_branches
-        self.windows += 1
-        self.fused_cycles += n_cycles
-        if deopt:
-            self.deopts += 1
-        return cycle
-
     # ---------------------------------------------------------------- drive
 
     def declines(self) -> bool:
         """True when :meth:`drive` would deopt on its first cycle: a
         *hard* serialized op (HALT / FENCE / atomic) within retire
-        reach of the ROB head.  The multi-core walk checks this before
+        reach of the ROB head.  The walk checks this before
         building a generator, so sustained interpreted stretches never
         pay the hoist just to decline.  SPL ops do not decline — the
         drive loop parks or executes them compiled."""
         rob = self.core.rob
         if rob:
-            hard_tab = self.hard_tab
+            gate_tab = self.gate_tab
             k = self.core._retire_width
             for entry in rob:
-                if hard_tab[entry.pc]:
+                if gate_tab[entry.pc] == 3:
                     return True
                 k -= 1
                 if not k:
                     break
         return False
 
-    def drive(self, pend: list):
-        """Generator: compiled cycles for one core of a fused multi-core
-        window, hoisting once per *residency* instead of once per cycle.
+    def drive(self, pend: list, burst: list):
+        """Generator: compiled cycles for one core of a fused window,
+        hoisting once per *residency* instead of once per cycle.  This is
+        the only compiled transliteration of ``OutOfOrderCore.tick`` and
+        the stage methods it calls: any edit to the pipeline stages must
+        be mirrored here — the differential sweep in
+        tests/test_fastforward.py and the fuzzer's agreement contract
+        exist to catch drift.
 
         Protocol (driven by :class:`MultiBlockRunner`):
 
@@ -1006,26 +456,35 @@ class BlockRunner:
           which makes sibling snoop invalidations defer themselves (see
           ``OutOfOrderCore._on_invalidation``) instead of reading the
           core's now-stale scalar attributes;
-        * ``send(cycle)`` runs exactly one compiled cycle and yields
-          True — or 2 when the cycle ran as a parked ``spl_recv`` /
+        * ``send(cycle)`` runs compiled cycles from ``cycle`` and yields
+          True — 2 when the last cycle ran as a parked ``spl_recv`` /
           ``spl_store`` retry (head waiting on the output queue), a
-          hint that the core may be quiescent and worth an elide
-          probe.  Cycles need not be consecutive (the walk skips a
-          core's stall window), only monotone;
-        * a serialized op entering retire reach *deopts*: every hoisted
-          scalar is written back and the generator returns, surfacing
-          as StopIteration from the send — the caller interprets that
-          cycle instead;
+          hint that the core may be quiescent and worth an elide probe;
+          3 when an SPL op executed compiled, so the controllers must
+          tick that cycle.  Cycles need not be consecutive across sends
+          (the walk skips a core's stall window), only monotone;
+        * ``burst`` is a list shared with the walk: ``[stop, last,
+          watch]``.  With ``stop`` at or below ``cycle + 1`` the send
+          runs exactly one cycle.  A larger ``stop`` is a *burst*: the
+          cycles run back to back up to ``stop`` (exclusive), ending
+          early on a park or SPL yield, before a cycle that would
+          deopt, or after a cycle with a store that set ``ff_poke`` on
+          a core in ``watch`` (the elided siblings whose resume cycle
+          the walk must not run past).  Every yield writes the last
+          cycle run to ``last``;
+        * a hard serialized op entering retire reach *deopts*: every
+          hoisted scalar is written back and the generator returns,
+          surfacing as StopIteration from the send — the caller
+          interprets the sent cycle instead;
         * ``send(-1)`` is the sync sentinel: write back and return.
 
         While resident, the core's deque/dict structures stay shared in
         place (flush paths rebind them, and the body re-fetches before
-        the next yield), but the eleven hoisted scalars are stale on
+        the next yield), but the twelve hoisted scalars are stale on
         the core object — the walk must sync this generator before
-        probing ``next_event_cycle``, eliding, delegating to the
-        single-core window, or replaying a deferred invalidation.
-        Deferred hot counters accumulate into ``pend`` (one slot per
-        ``_CNT_KEYS`` entry), flushed once per multi-core window.
+        probing ``next_event_cycle``, eliding, or replaying a deferred
+        invalidation.  Deferred hot counters accumulate into ``pend``
+        (one slot per ``_CNT_KEYS`` entry), flushed once per window.
 
         The caller guarantees: ctx is bound, core not halted, not
         elided, and not stalled on the cycles it sends, observers off.
@@ -1044,8 +503,7 @@ class BlockRunner:
         n_br = 0
         retire_width = core._retire_width
         ser_tab = self.ser_tab
-        park_tab = self.park_tab
-        hard_tab = self.hard_tab
+        gate_tab = self.gate_tab
         exec_serialize = core._exec_serialize
         spl_port = core.spl_port
         output_pending = None if spl_port is None \
@@ -1089,6 +547,7 @@ class BlockRunner:
         fetch_resume = core.fetch_resume
         last_fetch_line = core.last_fetch_line
         sb_next_free = core.sb_next_free
+        last_retire_cycle = core.last_retire_cycle
         int_iq_used = core.int_iq_used
         fp_iq_used = core.fp_iq_used
         lq_used = core.lq_used
@@ -1117,69 +576,78 @@ class BlockRunner:
 
         core._bg_resident = True
         deopt = False
+        poke_stores = 0
         try:
-            cycle = yield
-            while cycle >= 0:
-                parked = 0
-                ser_ran = False
+            # ``spl_note``: an SPL op parked at the head or executed
+            # this cycle, so the cycle ends the send with a hint.
+            parked = 0
+            spl_note = False
+            cycle = sent = yield
+            if cycle < 0:
+                return
+            until = burst[0] - 1
+            while True:
                 if rob:
-                    head0 = rob[0]
-                    pc0 = head0.pc
-                    if ser_tab[pc0] and not hard_tab[pc0]:
-                        # SPL op already at the head.  The *park* —
-                        # operands ready, output queue empty (or store
-                        # queue full) — replays exactly as the
-                        # interpreter's failed retry: nothing retires
-                        # and at most the spl_recv_stalls counter
-                        # bumps, so the cycle runs compiled and yields
-                        # a park hint the walk can turn into an elide
-                        # probe.  The queue is only filled by
-                        # controller ticks (end of the walk cycle), so
-                        # this pre-writeback check sees the state the
-                        # retire stage would.  When not parked — queue
-                        # pending, or an operand still in flight that
-                        # this cycle's writeback could complete — the
-                        # retire stage below executes the op via the
-                        # interpreter's own ``_exec_serialize``.
-                        kind = park_tab[pc0]
-                        if kind and head0.remaining == 0 \
-                                and head0.state == 0 \
-                                and output_pending is not None:
-                            if kind == 2:
-                                while pending_stores and \
-                                        pending_stores[0] <= cycle:
-                                    pending_stores.popleft()
-                                if len(pending_stores) >= store_queue:
-                                    parked = 1
-                                elif not output_pending():
-                                    parked = 2
-                            elif not output_pending():
-                                parked = 2
-                        if parked == 2:
-                            n_spl_stalls += 1
-                        if parked:
-                            # Hint the walk only when this parked cycle
-                            # is also *quiet* (no frontend/issue
-                            # progress): during the post-arrival
-                            # frontend fill the probe would fail anyway
-                            # and its backoff would delay the real
-                            # elide by as much as it grew.
-                            q0 = n_fetched + n_dispatched + n_issued
-                    if not parked:
-                        # A hard serialized op (HALT / FENCE / atomic)
-                        # within retire reach deopts: the interpreter
-                        # runs the whole cycle.  (A parked head retires
-                        # nothing, so nothing deeper can reach it.)
-                        k = retire_width
-                        for entry in rob:
-                            if hard_tab[entry.pc]:
+                    # Retire-reach gate over the entries that can retire
+                    # this cycle (at most retire_width pop per cycle).  A
+                    # hard serialized op (HALT / FENCE / atomic) there
+                    # deopts: the interpreter runs the whole cycle.  An
+                    # spl_recv / spl_store at the head may instead be
+                    # *parked* — operands ready, output queue empty (or
+                    # store queue full) — which replays exactly as the
+                    # interpreter's failed retry: nothing retires (so
+                    # nothing deeper can reach the head) and at most the
+                    # spl_recv_stalls counter bumps, so the cycle runs
+                    # compiled and yields a park hint the walk can turn
+                    # into an elide probe.  The queue is only filled by
+                    # controller ticks (end of the walk cycle), so this
+                    # pre-writeback check sees the state the retire stage
+                    # would.  An SPL op that is not parked — queue
+                    # pending, or an operand still in flight that this
+                    # cycle's writeback could complete — is executed by
+                    # the retire stage below via the interpreter's own
+                    # ``_exec_serialize``.
+                    k = retire_width
+                    for entry in rob:
+                        if gate_tab[entry.pc]:
+                            kind = gate_tab[entry.pc]
+                            if kind == 3:
                                 deopt = True
                                 break
-                            k -= 1
-                            if not k:
-                                break
-                        if deopt:
+                            if k == retire_width and entry.remaining == 0 \
+                                    and entry.state == 0 \
+                                    and output_pending is not None:
+                                if kind == 2:
+                                    while pending_stores and \
+                                            pending_stores[0] <= cycle:
+                                        pending_stores.popleft()
+                                    if len(pending_stores) >= store_queue:
+                                        parked = 1
+                                    elif not output_pending():
+                                        parked = 2
+                                elif not output_pending():
+                                    parked = 2
+                                if parked:
+                                    if parked == 2:
+                                        n_spl_stalls += 1
+                                    q0 = n_fetched + n_dispatched + n_issued
+                                    spl_note = True
+                                    break
+                        k -= 1
+                        if not k:
                             break
+                    if deopt:
+                        if cycle == sent:
+                            break
+                        # Mid-burst: hand back the cycles run so far;
+                        # the next send deopts on its own.
+                        deopt = False
+                        burst[1] = cycle - 1
+                        cycle = sent = yield True
+                        if cycle < 0:
+                            break
+                        until = burst[0] - 1
+                        continue
                 n_cycles += 1
 
                 # ---------------------------------------------------- writeback
@@ -1244,8 +712,7 @@ class BlockRunner:
                     while rob and retired < retire_width:
                         head = rob[0]
                         if head.state != 2:
-                            if parked or head.remaining != 0 \
-                                    or head.state != 0 \
+                            if head.state or head.remaining or parked \
                                     or not ser_tab[head.pc]:
                                 break
                             # An SPL op reached the head with operands
@@ -1260,7 +727,7 @@ class BlockRunner:
                             core.sb_next_free = sb_next_free
                             ok = exec_serialize(head, cycle)
                             sb_next_free = core.sb_next_free
-                            ser_ran = True
+                            spl_note = True
                             if not ok or head.state != 2:
                                 break
                         pc = head.pc
@@ -1314,7 +781,7 @@ class BlockRunner:
                     if retired:
                         ctx.pc = last_next
                         ctx.retired_instructions += retired
-                        core.last_retire_cycle = cycle
+                        last_retire_cycle = cycle
                         n_retired += retired
 
                 # -------------------------------------------------------- issue
@@ -1522,8 +989,10 @@ class BlockRunner:
                         n_dispatched += dispatched
 
                 # -------------------------------------------------------- fetch
-                if not core.stop_fetch and cycle >= fetch_resume \
-                        and fetch_pc >= 0:
+                # stop_fetch is constant while resident (the machine only
+                # gives runners to un-drained cores and HALT deopts
+                # before retiring), so the guard reduces to the locals.
+                if cycle >= fetch_resume and fetch_pc >= 0:
                     fetched = 0
                     while fetched < fetch_width and \
                             len(fetch_queue) < queue_cap:
@@ -1576,15 +1045,46 @@ class BlockRunner:
                     if fetched:
                         n_fetched += fetched
 
-                if ser_ran:
-                    # A serialized SPL op executed this cycle: it may
-                    # have started a fabric job or freed queue space,
-                    # so the walk must keep the controllers ticking.
-                    cycle = yield 3
-                elif parked and q0 == n_fetched + n_dispatched + n_issued:
-                    cycle = yield 2
+                if spl_note:
+                    if not parked:
+                        # A serialized SPL op executed this cycle: it
+                        # may have started a fabric job or freed queue
+                        # space, so the walk must keep the controllers
+                        # ticking.
+                        out = 3
+                    elif q0 == n_fetched + n_dispatched + n_issued:
+                        # Hint the walk only when this parked cycle is
+                        # also *quiet* (no frontend/issue progress):
+                        # during the post-arrival frontend fill the
+                        # probe would fail anyway and its backoff would
+                        # delay the real elide by as much as it grew.
+                        out = 2
+                    else:
+                        out = True
+                    parked = 0
+                    spl_note = False
                 else:
-                    cycle = yield True
+                    if cycle < until:
+                        # Burst: keep going unless this cycle's store
+                        # snoop-poked a watched sibling — the walk must
+                        # resume it on this cycle (higher index) or the
+                        # next (lower), as the naive core order would.
+                        if n_stores == poke_stores:
+                            cycle += 1
+                            continue
+                        poke_stores = n_stores
+                        for other in burst[2]:
+                            if other.ff_poke:
+                                break
+                        else:
+                            cycle += 1
+                            continue
+                    out = True
+                burst[1] = cycle
+                cycle = sent = yield out
+                if cycle < 0:
+                    break
+                until = burst[0] - 1
         finally:
             core._bg_resident = False
             if n_spl_stalls:
@@ -1605,6 +1105,7 @@ class BlockRunner:
             core.fetch_resume = fetch_resume
             core.last_fetch_line = last_fetch_line
             core.sb_next_free = sb_next_free
+            core.last_retire_cycle = last_retire_cycle
             core.int_iq_used = int_iq_used
             core.fp_iq_used = fp_iq_used
             core.lq_used = lq_used
@@ -1629,11 +1130,9 @@ _BG_PROBE_CAP = 256
 
 
 class MultiBlockRunner:
-    """Fused multi-core windows: N cores per cycle, one Python loop.
-
-    Generalizes :meth:`BlockRunner.run_window` to any number of running
-    cores.  Exactness rests on three invariants, mirrored from the naive
-    ``Machine.run`` loop:
+    """Fused windows: every compiled cycle, one core or N, runs through
+    this one per-cycle walk.  Exactness rests on three invariants,
+    mirrored from the naive ``Machine.run`` loop:
 
     * **Core order.**  Cores advance in index order within each cycle —
       the interleaving that fixes shared-memory and snoop-invalidation
@@ -1663,13 +1162,16 @@ class MultiBlockRunner:
       are only raised by controller ticks and sibling steps, both of
       which run inside the same per-cycle walk.
 
-    Per-core deopt: a core whose ROB head nears a serialized op falls
-    back to ``core.tick`` for that cycle only; the window continues for
-    the rest.  A stretch where exactly one compiled core remains live
-    (and controllers are still provably quiet) delegates to the
-    single-core ``run_window`` with the elided siblings as its poke
-    escape — full single-core speed for the common barrier-tail and
-    producer/consumer phases.
+    Per-core deopt: a core whose ROB head nears a hard serialized op
+    falls back to ``core.tick`` for that cycle only; the window
+    continues for the rest.  When exactly one core is live and the
+    controllers are quiet, its send is a *burst* (see
+    :meth:`BlockRunner.drive`): many cycles per generator resume, which
+    keeps single-core runs and the barrier-tail and producer/consumer
+    phases of multi-core runs at full compiled speed.  The send reports
+    the last cycle it ran and the walk finishes that cycle's core loop
+    there, so the rest of the walk sees the cycle order of the naive
+    loop.
     """
 
     def __init__(self, machine) -> None:
@@ -1691,8 +1193,8 @@ class MultiBlockRunner:
         walk goes controller-live at that cycle — a streaming
         controller (``ctl_resume <= start``) keeps the window open with
         controllers ticking every cycle, rather than declining
-        engagement.  Returns ``(done, stepped, delegated, attempted,
-        elided)`` — the first un-executed cycle plus per-core
+        engagement.  Returns ``(done, stepped, attempted, elided)`` —
+        the first un-executed cycle plus per-core
         compiled-cycle/engagement telemetry for the machine's per-core
         backoff.  The caller guarantees: every core has a bound context,
         at least one is neither halted nor elided, no elided core has a
@@ -1703,7 +1205,6 @@ class MultiBlockRunner:
         n = len(cores)
         pends = [[0] * 10 for _ in range(n)]
         stepped = [0] * n
-        delegated = [0] * n
         attempted = [False] * n
         was_compiled = [False] * n
         deopts = [0] * n
@@ -1720,9 +1221,12 @@ class MultiBlockRunner:
         # the core is interpreting / elided / declined.  A live entry
         # means the core's hoisted scalars live in the generator frame:
         # it must be synced (send(-1)) before anything outside the
-        # generator reads or writes them — elide probes, delegation,
+        # generator reads or writes them — elide probes,
         # deferred-invalidation replay, and window exit.
         gens = [None] * n
+        # Shared with every generator: [burst stop, last cycle run,
+        # watched elided siblings] (see BlockRunner.drive).
+        burst = [0, 0, ()]
         live = 0
         for i, core in enumerate(cores):
             core._obs_pipe = False
@@ -1751,87 +1255,6 @@ class MultiBlockRunner:
                 # the machine loop, whose fast-forward probe can *jump*
                 # (and bound the watchdog floor) instead of iterating.
                 break
-            if live == 1 and not controllers_live:
-                # Single-live stretch: delegate to the single-core fused
-                # loop, bounded by the earliest elided wake and the
-                # controllers' comeback cycle, escaping the moment a
-                # store pokes an elided sibling.
-                target = -1
-                escapes = []
-                sub_end = end if controllers_resume >= end \
-                    else controllers_resume
-                poked = False
-                for i, core in enum_cores:
-                    st = states[i]
-                    if st == 2:
-                        continue
-                    if st:
-                        if core.ff_poke:
-                            # A lower-indexed sibling was poked late last
-                            # cycle: the per-core walk must resume it on
-                            # *this* cycle before anything else runs.
-                            poked = True
-                            break
-                        escapes.append(core)
-                        wake = wake_at[i]
-                        if wake < sub_end:
-                            sub_end = wake
-                    else:
-                        target = i
-                if not poked and target >= 0 \
-                        and runners[target] is not None \
-                        and not cores[target]._bg_pending_inval \
-                        and cycle < sub_end:
-                    gen = gens[target]
-                    if gen is not None:
-                        # run_window re-hoists from the core attributes:
-                        # retire the residency first.
-                        gens[target] = None
-                        try:
-                            gen.send(-1)
-                        except StopIteration:
-                            pass
-                    attempted[target] = True
-                    done = runners[target].run_window(
-                        cycle, sub_end, tuple(escapes))
-                    if done > cycle:
-                        delegated[target] += done - cycle
-                        was_compiled[target] = True
-                        # Poke fix-up: a store in the window's *last*
-                        # cycle may have snoop-flushed elided siblings.
-                        # In core order, a sibling *after* the target
-                        # ticks on that same cycle (its slot had not
-                        # passed yet); one *before* it resumes next
-                        # cycle through the normal walk.  The fix-up
-                        # tick is interpreted and may touch an SPL/comm
-                        # port, so controllers go live at that cycle.
-                        fixup_ran = False
-                        last = done - 1
-                        for i, core in enum_cores:
-                            if i <= target or states[i] != 1 \
-                                    or not core.ff_poke:
-                                continue
-                            core.ff_poke = False
-                            core.credit_fast_forward(
-                                core.ff_skip_from, last - 1)
-                            core.ff_skip_from = -1
-                            states[i] = 0
-                            live += 1
-                            probe_at[i] = done
-                            probe_backoff[i] = 1
-                            core.tick(last)
-                            fixup_ran = True
-                            if core.halted:
-                                states[i] = 2
-                                live -= 1
-                        if fixup_ran:
-                            controllers_live = True
-                            for controller in controllers:
-                                controller.tick(last)
-                        cycle = done
-                        continue
-                # Declined or immediate deopt: fall through and run this
-                # cycle through the per-core path.
             interp_ran = False
             ser_exec_ran = False
             for i, core in enum_cores:
@@ -1883,15 +1306,42 @@ class MultiBlockRunner:
                         attempted[i] = True
                         gen = gens[i]
                         if gen is None and not runner.declines():
-                            gen = runner.drive(pends[i])
+                            gen = runner.drive(pends[i], burst)
                             gen.send(None)
                             gens[i] = gen
                         if gen is not None:
+                            if live == 1 and not controllers_live:
+                                # The lone live core with quiet
+                                # controllers: burst up to the first
+                                # cycle anything else must run — the
+                                # controllers' comeback or the earliest
+                                # elided wake — unless a sibling already
+                                # has a poke to consume this cycle.
+                                stop = end if controllers_resume >= end \
+                                    else controllers_resume
+                                watch = []
+                                for j, other in enum_cores:
+                                    if states[j] == 1:
+                                        if other.ff_poke:
+                                            stop = 0
+                                            break
+                                        watch.append(other)
+                                        if wake_at[j] < stop:
+                                            stop = wake_at[j]
+                                burst[0] = stop
+                                burst[2] = watch
                             res = None
                             try:
                                 res = gen.send(cycle)
                             except StopIteration:
                                 gens[i] = None
+                            if burst[0]:
+                                burst[0] = 0
+                                if res is not None:
+                                    # Finish this cycle's core walk at
+                                    # the last cycle the burst ran.
+                                    stepped[i] += burst[1] - cycle
+                                    cycle = burst[1]
                             if res is not None:
                                 stepped[i] += 1
                                 was_compiled[i] = True
@@ -1990,7 +1440,7 @@ class MultiBlockRunner:
                 if not interp_ran and not ser_exec_ran \
                         and cycle >= ctl_probe_at:
                     # Quiet cycle: try to prove the controllers dormant
-                    # again so delegation can re-arm and the remaining
+                    # again so bursts can re-arm and the remaining
                     # window skips their no-op ticks.
                     bound = _BG_NEVER
                     for controller in controllers:
@@ -2041,8 +1491,7 @@ class MultiBlockRunner:
                     runner.windows += 1
                     runner.fused_cycles += stepped[i]
                 runner.deopts += deopts[i]
-            fused += stepped[i] + delegated[i]
+            fused += stepped[i]
         self.windows += 1
         self.fused_cycles += fused
-        return (cycle, stepped, delegated, attempted,
-                [st == 1 for st in states])
+        return cycle, stepped, attempted, [st == 1 for st in states]

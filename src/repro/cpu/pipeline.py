@@ -519,8 +519,10 @@ class OutOfOrderCore:
                 if head.state == DISP and head.remaining == 0:
                     if head.inst.op not in _EXT_WAKE_OPS:
                         return now + 1
-                    if (head.inst.op is not Op.FENCE
-                            and self.spl_port is not None
+                    if head.inst.op is Op.FENCE:
+                        if not self.pending_stores:
+                            return now + 1  # nothing to drain: it retires
+                    elif (self.spl_port is not None
                             and self.spl_port.output_pending()):
                         return now + 1  # delivered words await this recv
                 # in-flight AMO wakes via ``completing``; ext-wake ops
@@ -815,7 +817,7 @@ class OutOfOrderCore:
             # A compiled generator holds this core's scalar state in
             # locals (``rob`` contents are shared in place, so the empty
             # check above is sound).  Record the line and poke; the
-            # multi-core window walk syncs the generator and replays the
+            # fused-window walk syncs the generator and replays the
             # invalidation before this core's next cycle slot — at which
             # point the state it sees is identical to what the in-order
             # interpreter walk would have shown, because the core does

@@ -158,7 +158,7 @@ def run_case(name: str) -> Dict:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
         # Informational (never gated): how much of the blockgen leg ran
-        # inside fused windows, split single-core vs multi-core.
+        # inside fused windows, as per-core runner totals and walk totals.
         row["blockgen"]["engagement"] = engagement
     row["speedup"] = row["naive"]["wall_s"] / row["fast_forward"]["wall_s"]
     row["blockgen_speedup"] = row["naive"]["wall_s"] / row["blockgen"]["wall_s"]

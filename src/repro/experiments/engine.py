@@ -244,79 +244,52 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Content-addressed on-disk store of ``RunResult.to_dict()`` records.
+    """Content-addressed on-disk store: one JSON record per request key.
 
-    Layout: ``<root>/v<schema>-<code fingerprint>/<key[:2]>/<key>.json``.
+    Layout: ``<root>/v<schema>-<code fingerprint>/[<subdir>/]<key[:2]>/
+    <key>.json``, each record ``{"request": ..., "result": {...}}``.
+    The engine keeps two: run results (``RunResult.to_dict()``) at the
+    top level, and pre-flight lint verdicts under ``lint/`` (``{"ok":
+    true}`` or ``{"ok": false, "outcome": [...]}``, the error tuple
+    :meth:`ExperimentEngine._preflight` would have produced).
     Invalidation is implicit — a schema bump or any change to the
-    ``repro`` package moves the version directory, so stale entries are
-    simply never read again.
+    ``repro`` package, including the analysis rules, moves the version
+    directory, so stale entries are simply never read again.
     """
 
-    def __init__(self, root: Optional[Path] = None) -> None:
-        root = root or default_cache_dir()
-        self.root = Path(root) / \
+    def __init__(self, root: Optional[Path] = None, subdir: str = "") -> None:
+        root = Path(root or default_cache_dir()) / \
             f"v{RESULT_SCHEMA_VERSION}-{code_fingerprint()}"
+        self.root = root / subdir if subdir else root
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> Optional[Dict]:
-        path = self._path(key)
+        """The stored result for ``key``; None for a miss and for an
+        unreadable, truncated or malformed entry."""
         try:
-            with open(path) as handle:
+            with open(self._path(key)) as handle:
                 record = json.load(handle)
         except (OSError, ValueError):
             return None
-        return record.get("result")
+        result = record.get("result") if isinstance(record, dict) else None
+        return result if isinstance(result, dict) else None
 
-    def store(self, key: str, req: SpecRequest, result: Dict) -> None:
+    def store(self, key: str, req: Optional[SpecRequest],
+              result: Optional[Dict] = None) -> None:
+        """Atomically write ``result`` for ``key``, with the request
+        beside it for inspection.  A bare entry (no result, as the
+        traced perfbench pass stores for lint verdicts) reads back as a
+        miss."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"request": dataclasses.asdict(req), "result": result}
+        record = {"request": None if req is None else dataclasses.asdict(req),
+                  "result": result}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with open(tmp, "w") as handle:
             json.dump(record, handle)
         os.replace(tmp, path)  # atomic: concurrent writers race benignly
-
-
-class LintCache:
-    """On-disk cache of pre-flight lint verdicts, beside the result cache.
-
-    Layout: ``<root>/v<schema>-<fingerprint>/lint/<key[:2]>/<key>.json``.
-    Keys are the same content-addressed request hashes as
-    :class:`ResultCache` and live under the same code-fingerprinted
-    version directory, so any source change (including to the analysis
-    rules themselves) invalidates cached verdicts implicitly.  A record
-    is ``{"ok": true}`` or ``{"ok": false, "outcome": [...]}`` where
-    ``outcome`` is the error tuple :meth:`ExperimentEngine._preflight`
-    would have produced.
-    """
-
-    def __init__(self, root: Optional[Path] = None) -> None:
-        root = root or default_cache_dir()
-        self.root = Path(root) / \
-            f"v{RESULT_SCHEMA_VERSION}-{code_fingerprint()}" / "lint"
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def load(self, key: str) -> Optional[Dict]:
-        try:
-            with open(self._path(key)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def store(self, key: str, outcome: Optional[Tuple]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record: Dict = {"ok": outcome is None}
-        if outcome is not None:
-            record["outcome"] = list(outcome)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -349,9 +322,9 @@ class ExperimentEngine:
     unless ``REPRO_NO_LINT`` is set; when on, cache-missing specs are
     statically verified before dispatch and error-severity findings
     become ``LintError``-typed :class:`SpecError` records.  Verdicts are
-    cached persistently (:class:`LintCache`) under the same
-    content-addressed keys as results, so repeated batches skip the
-    analysis entirely until the code or the request changes.
+    cached persistently (a :class:`ResultCache` under ``lint/``) under
+    the same content-addressed keys as results, so repeated batches skip
+    the analysis entirely until the code or the request changes.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -369,7 +342,8 @@ class ExperimentEngine:
             lint = env_enabled(ENV_NO_LINT)
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if use_cache else None
-        self.lint_cache = LintCache(cache_dir) if use_cache else None
+        self.lint_cache = ResultCache(cache_dir, "lint") if use_cache \
+            else None
         self.lint = lint
         self.progress = progress
         self._pending: List[Tuple[Any, SpecRequest]] = []
@@ -505,7 +479,7 @@ class ExperimentEngine:
 
         ``None`` means the spec may run; otherwise the engine's error
         outcome tuple (``("error", type, message, traceback)``).
-        Verdicts are remembered in-process and in :class:`LintCache`.
+        Verdicts are remembered in-process and in ``lint_cache``.
         """
         if cache_key in self._lint_passed:
             return None
@@ -517,7 +491,10 @@ class ExperimentEngine:
         else:
             outcome = self._preflight(req)
             if self.lint_cache:
-                self.lint_cache.store(cache_key, outcome)
+                verdict: Dict = {"ok": outcome is None}
+                if outcome is not None:
+                    verdict["outcome"] = list(outcome)
+                self.lint_cache.store(cache_key, req, verdict)
         if outcome is None:
             self._lint_passed.add(cache_key)
         return outcome

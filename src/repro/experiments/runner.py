@@ -139,9 +139,7 @@ def execute(spec: RunSpec, check: bool = True,
     The run is configured by one :class:`RunOptions` value.  An
     ``options`` whose ``max_cycles`` is still the RunOptions default is
     bounded by the spec's own ``max_cycles`` budget, matching the
-    historical behaviour.  (The loose ``fast_forward`` keyword this
-    function accepted for one release now lives only in
-    :mod:`repro.api.compat`.)
+    historical behaviour.
     """
     if options is None:
         options = RunOptions(max_cycles=spec.max_cycles)

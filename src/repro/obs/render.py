@@ -3,9 +3,9 @@
 One renderer for everything textual the simulator reports: experiment
 tables and series, run-level metric snapshots (see
 :mod:`repro.obs.metrics`), and the cycle-accounting profile (see
-:mod:`repro.obs.profile`).  ``system/report.py`` and
-``experiments/report.py`` both delegate here, so the two report paths
-can never drift apart.
+:mod:`repro.obs.profile`).  ``system/report.py``, the CLI and
+the figure benchmarks all render through here, so the report paths can
+never drift apart.
 """
 
 from __future__ import annotations

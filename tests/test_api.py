@@ -9,7 +9,6 @@ reject loudly at submit time.
 
 import json
 import time
-import warnings
 
 import pytest
 
@@ -344,25 +343,6 @@ class TestCompatShims:
         from repro.experiments.runner import execute
         import inspect
         assert "fast_forward" not in inspect.signature(execute).parameters
-
-    def test_compat_execute_warns_and_works(self):
-        from repro.api.compat import execute
-        from repro.experiments.engine import build_spec
-        spec = build_spec(request("wc", "seq", items=16))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = execute(spec, fast_forward=False)
-        assert result.cycles > 0
-
-    def test_compat_execute_rejects_conflicting_options(self):
-        from repro.api.compat import execute
-        from repro.common.config import RunOptions
-        from repro.experiments.engine import build_spec
-        spec = build_spec(request("wc", "seq", items=16))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ConfigError):
-                execute(spec, fast_forward=True,
-                        options=RunOptions(fast_forward=True))
 
     def test_trace_module_no_longer_exports_attach_tracer(self):
         import repro.cpu.trace as trace

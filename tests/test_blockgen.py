@@ -354,3 +354,75 @@ def test_hot_report_identical_across_legs():
                         for core in machine.cores})
     assert reports[0] == reports[1] == reports[2]
     assert any(reports[0].values()), "hot report came back empty"
+
+
+def _burst_workload(reader_core):
+    """A lone compiled writer bursts while an interpreted reader sits
+    elided.
+
+    The reader stores to a fresh line (a miss to memory) and FENCEs, so
+    it deopts and is elided until its store buffer drains, with a
+    younger load of the flag line already completed behind the fence.
+    The writer spins in a compute loop, then stores the flag: the store
+    snoop-invalidates the reader's copy, replays that load and pokes
+    the reader, which must resume on exactly the cycle the naive core
+    order gives it.  The writer's own FENCE after the compute loop
+    deopts it part-way through a burst.
+    """
+    from repro.isa import Asm
+    from repro.isa.program import MemoryImage, ThreadSpec
+    from repro.system.workload import Workload
+
+    rounds, lines = 8, 400
+    image = MemoryImage()
+    flag = image.alloc_words([0])
+    cold = image.alloc_zeroed(8 * lines)
+    reader = Asm("burst_reader")
+    reader.li("r3", flag)
+    reader.li("r4", rounds)
+    reader.li("r10", cold)
+    reader.label("spin")
+    reader.sw("r4", "r10", 0)
+    reader.addi("r10", "r10", 32)
+    reader.fence()
+    reader.lw("r5", "r3", 0)
+    reader.bne("r5", "r4", "spin")
+    reader.halt()
+    writer = Asm("burst_writer")
+    writer.li("r3", flag)
+    writer.li("r4", rounds)
+    writer.li("r5", 0)
+    writer.label("round")
+    writer.li("r6", 40)
+    writer.label("delay")
+    writer.addi("r6", "r6", -1)
+    writer.addi("r7", "r7", 3)
+    writer.addi("r8", "r8", 5)
+    writer.bne("r6", "r0", "delay")
+    writer.fence()
+    writer.addi("r5", "r5", 1)
+    writer.sw("r5", "r3", 0)
+    writer.blt("r5", "r4", "round")
+    writer.halt()
+    threads = [ThreadSpec(reader.assemble(), 0),
+               ThreadSpec(writer.assemble(), 1)]
+    return Workload("burst_poke", image, threads,
+                    placement=[reader_core, 1 - reader_core])
+
+
+@pytest.mark.parametrize("reader_core", [0, 1],
+                         ids=["sibling-lower", "sibling-higher"])
+def test_burst_ends_on_sibling_poke_and_deopts_midway(reader_core):
+    """Bursts stay exact where a lone compiled core's store pokes an
+    elided sibling (lower or higher core index) and where a hard op
+    deopts the burst part-way."""
+    system = SystemConfig(clusters=[ooo1_cluster(2)])
+    naive, ff, fused = _three_legs(_burst_workload(reader_core),
+                                   system=system)
+    replays = sum(v for k, v in naive[1].items()
+                  if k.endswith("load_replays"))
+    assert replays > 0, "workload failed to trigger replays"
+    assert fused[0] == ff[0] == naive[0]
+    assert fused[1] == ff[1] == naive[1]
+    assert fused[2]._bg_multi.fused_cycles > 0
+    assert sum(r.deopts for r in fused[2]._bg_runners.values()) > 0

@@ -232,11 +232,10 @@ class TestStudiesThroughEngine:
 
 class TestLintCache:
     def test_verdict_persisted_and_reused(self, tmp_path):
-        from repro.experiments.engine import LintCache
         req = request("wc", "seq", items=32)
         engine = _engine(tmp_path)
         engine.run(req)
-        cache = LintCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path / "cache", "lint")
         record = cache.load(req.cache_key())
         assert record == {"ok": True}
         # Drop the cached *result* so the warm engine must simulate
@@ -258,18 +257,39 @@ class TestLintCache:
         assert warm.simulated == 1 and result.cycles > 0
 
     def test_cached_failure_replays_without_relint(self, tmp_path):
-        from repro.experiments.engine import LintCache
         req = request("wc", "seq", items=48)
-        LintCache(tmp_path / "cache").store(
-            req.cache_key(),
-            ("error", "LintError", "static pre-flight found problems",
-             "error[XXX999] test: seeded verdict"))
+        ResultCache(tmp_path / "cache", "lint").store(
+            req.cache_key(), req,
+            {"ok": False,
+             "outcome": ["error", "LintError",
+                         "static pre-flight found problems",
+                         "error[XXX999] test: seeded verdict"]})
         engine = _engine(tmp_path)
         with pytest.raises(ExperimentBatchError) as excinfo:
             engine.run(req)
         (error,) = excinfo.value.errors
         assert error.exception_type == "LintError"
         assert "seeded verdict" in error.traceback_text
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"ok"', '{"request": nu',
+                                      '{"result": [1]}'],
+                             ids=["list", "string", "truncated",
+                                  "non-dict-result"])
+    def test_malformed_entries_read_as_misses(self, tmp_path, text):
+        """Valid-JSON non-dict entries and truncated files in either the
+        result or the lint store are cache misses: the engine re-lints
+        and re-simulates instead of crashing."""
+        req = request("wc", "seq", items=32)
+        for subdir in ("", "lint"):
+            cache = ResultCache(tmp_path / "cache", subdir)
+            cache.store(req.cache_key(), req, {"ok": True})
+            cache._path(req.cache_key()).write_text(text)
+            assert cache.load(req.cache_key()) is None
+        engine = _engine(tmp_path)
+        result = engine.run(req)
+        assert not result.cache_hit and engine.simulated == 1
+        assert ResultCache(tmp_path / "cache", "lint").load(
+            req.cache_key()) == {"ok": True}
 
     def test_no_cache_engine_has_no_lint_cache(self):
         assert _engine().lint_cache is None

@@ -1,7 +1,5 @@
 """Tests for the pipeline tracer (an event-bus sink)."""
 
-import pytest
-
 from repro.common.config import SystemConfig, ooo1_cluster
 from repro.cpu.trace import PipelineTracer
 from repro.isa import Asm, MemoryImage, ThreadSpec
@@ -69,16 +67,6 @@ def test_clear():
     _, tracer = _machine_with_tracer()
     tracer.clear()
     assert not tracer.events and tracer.dropped == 0
-
-
-def test_attach_tracer_compat_stub_warns_but_works():
-    from repro.api.compat import attach_tracer
-    machine = _counting_machine()
-    with pytest.warns(DeprecationWarning):
-        tracer = attach_tracer(machine.cores[0], stages=["retire"])
-    machine.run(max_cycles=100_000)
-    retired = machine.stats.find("cpu0").get("retired")
-    assert len(tracer.of_stage("retire")) == retired
 
 
 def test_mispredict_produces_flush_events():
