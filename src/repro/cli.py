@@ -726,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.set_defaults(func=cmd_resume)
 
     p_bench = sub.add_parser(
-        "bench", help="time the simulation loop (naive vs fast-forward)")
+        "bench", help="time the simulation loop (naive, fast-forward, "
+                      "blockgen, sliced with a heartbeat sink)")
     p_bench.add_argument("--case", dest="cases", action="append",
                          help="case to run (seq, barrier, compcomm, adpcm, "
                               "livermore); repeatable, default all")
@@ -738,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--check", default=None, metavar="PATH",
                          help="compare simulated results (cycles, retired) "
                               "against a committed baseline report; exact "
-                              "match required, wall clock informational")
+                              "match required, and the sliced leg may take "
+                              "at most 1.25x the blockgen leg's wall time")
     p_bench.add_argument("--snapshot-roundtrip", action="store_true",
                          help="instead of timing, pause each case mid-run, "
                               "snapshot to disk, restore and continue; "

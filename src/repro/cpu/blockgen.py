@@ -487,7 +487,8 @@ class BlockRunner:
         (one slot per ``_CNT_KEYS`` entry), flushed once per window.
 
         The caller guarantees: ctx is bound, core not halted, not
-        elided, and not stalled on the cycles it sends, observers off.
+        elided, and not stalled on the cycles it sends, no core-kind
+        observer (``obs.core_active`` False).
         """
         core = self.core
         n_cycles = 0
@@ -1198,8 +1199,8 @@ class MultiBlockRunner:
         compiled-cycle/engagement telemetry for the machine's per-core
         backoff.  The caller guarantees: every core has a bound context,
         at least one is neither halted nor elided, no elided core has a
-        pending poke, observers off, and ``end`` respects the
-        watchdog/pause ceiling.
+        pending poke, no core-kind observer (``obs.core_active``
+        False), and ``end`` respects the watchdog/pause ceiling.
         """
         controllers = self.machine._controllers
         n = len(cores)

@@ -195,7 +195,7 @@ class OutOfOrderCore:
         #: the blockgen fused loop.  None keeps the hot path untouched.
         self._retire_pcs: Optional[Dict[int, int]] = None
         # Run-length state for cycle-accounting spans (only advanced while
-        # a sink is attached; survives migrations so spans stay honest).
+        # ``obs.core_active``; survives migrations so spans stay honest).
         self._span_class: Optional[str] = None
         self._span_start = 0
         self._last_tick = -1
@@ -467,7 +467,7 @@ class OutOfOrderCore:
         if self.ctx is None or self.halted or cycle < self.stall_until:
             return
         self._cnt["cycles"] += 1
-        observed = self.obs.active
+        observed = self.obs.core_active
         if observed:
             self._obs_pipe = self.obs.pipeline_active
         elif self._obs_pipe:
@@ -638,7 +638,7 @@ class OutOfOrderCore:
             self.stats.bump(recv_key, n)
         if dkey is not None and t0 <= end:
             self.stats.bump(dkey, end - max(start, t0) + 1)
-        if self.obs.active:
+        if self.obs.core_active:
             if cls_head is None and start < fetch_resume <= end:
                 self._credit_span(ev.CLS_MEM, start, fetch_resume - 1)
                 self._credit_span(ev.CLS_COMPUTE, fetch_resume, end)

@@ -1,10 +1,13 @@
 """Simulation-loop throughput benchmark (``python -m repro bench``).
 
 Times representative benches — one compute-bound (seq), one barrier-heavy,
-one communication+computation — under three simulation legs: the naive
-per-cycle loop, the quiescence-aware fast-forward scheduler, and the
+one communication+computation — under four simulation legs: the naive
+per-cycle loop, the quiescence-aware fast-forward scheduler, the
 fast-forward scheduler with trace-cache block compilation on top (the
-default configuration).  Each case runs on a fresh machine per leg,
+default configuration), and that default run the way the job-service
+worker runs it — in ``pause_at`` slices with a heartbeat
+:class:`~repro.obs.progress.ProgressSink` attached.  Each case runs on a
+fresh machine per leg,
 asserts all legs agree on final cycle and retired-instruction counts (the
 cycle-exactness guarantee, enforced exhaustively in
 tests/test_fastforward.py and tests/test_blockgen.py), and reports
@@ -18,6 +21,12 @@ phantom 0.965x "regression" on the livermore case that an interleaved
 re-measurement showed to be 1.02x).  Each leg records its wall-clock
 spread (min/median/stdev) and the report carries a host fingerprint so
 archived numbers can be compared apples-to-apples.
+
+Schema 3 adds the ``sliced`` leg.  Its median wall time over the
+``blockgen`` leg's, measured in the same run, is the one wall-clock
+number :func:`check_report` gates on (:data:`SLICED_RATIO_LIMIT`):
+observing a run through a heartbeat sink must not knock it off the
+compiled path.  Being a same-run ratio, it does not depend on the host.
 """
 
 from __future__ import annotations
@@ -32,17 +41,20 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import RunOptions
 from repro.common.errors import SimulationError
+from repro.obs.progress import ProgressSink
+from repro.serve.worker import run_sliced
 from repro.system.machine import Machine
 from repro.workloads import registry
 
 #: Report schema; bump when the JSON layout changes.  Schema 2 added the
 #: blockgen leg, per-leg wall-clock spread, and the host fingerprint;
-#: :func:`check_report` still accepts schema-1 baselines (the simulated
-#: ``cycles``/``retired`` keys it gates on are unchanged).
-BENCH_SCHEMA_VERSION = 2
+#: schema 3 the sliced leg.  :func:`check_report` still accepts older
+#: baselines (the simulated ``cycles``/``retired`` keys it gates on are
+#: unchanged).
+BENCH_SCHEMA_VERSION = 3
 
 #: Schemas :func:`check_report` knows how to read.
-_READABLE_SCHEMAS = (1, 2)
+_READABLE_SCHEMAS = (1, 2, 3)
 
 #: Default output file (gitignored).
 DEFAULT_OUT = "BENCH_simloop.json"
@@ -68,18 +80,30 @@ CASES: Dict[str, Tuple[str, str, Dict]] = {
 #: spread (the extra repeats absorb allocator/cache warm-up noise).
 BENCH_REPEATS = 3
 
-#: leg name -> (fast_forward, blockgen).  The blockgen leg is the default
-#: RunOptions configuration; running all three per case makes every bench
-#: invocation an A/B cycle-drift gate for the compiled hot loop.
-LEGS: Tuple[Tuple[str, bool, bool], ...] = (
-    ("naive", False, False),
-    ("fast_forward", True, False),
-    ("blockgen", True, True),
+#: leg name -> (fast_forward, blockgen, sliced).  The blockgen leg is the
+#: default RunOptions configuration; running every leg per case makes
+#: each bench invocation an A/B cycle-drift gate for the compiled hot
+#: loop.  The sliced leg is the default configuration driven like the
+#: job-service worker (:func:`repro.serve.worker.run_sliced` with a
+#: heartbeat sink attached), so its flags record what it resolves to.
+LEGS: Tuple[Tuple[str, bool, bool, bool], ...] = (
+    ("naive", False, False, False),
+    ("fast_forward", True, False, False),
+    ("blockgen", True, True, False),
+    ("sliced", True, True, True),
 )
 
+#: Slice length of the sliced leg: short enough to cut every case (20-60
+#: kcycles) several times, so slice edges land mid-window.
+SLICE_CYCLES = 5_000
 
-def _run_once(make_spec, fast_forward: bool,
-              blockgen: bool) -> Tuple[int, int, float, Machine]:
+#: :func:`check_report` fails a fresh report whose sliced leg's median
+#: wall time exceeds this multiple of the blockgen leg's.
+SLICED_RATIO_LIMIT = 1.25
+
+
+def _run_once(make_spec, fast_forward: bool, blockgen: bool,
+              sliced: bool) -> Tuple[int, int, float, Machine]:
     """(final cycle, retired instructions, wall seconds, machine) for one
     run.
 
@@ -89,10 +113,16 @@ def _run_once(make_spec, fast_forward: bool,
     spec = make_spec()
     machine = Machine(spec.system)
     machine.load(spec.workload)
+    if sliced:
+        machine.obs.attach(ProgressSink(lambda sample: None),
+                           kinds=ProgressSink.KINDS)
     start = time.perf_counter()
-    cycles = machine.run(options=RunOptions(max_cycles=spec.max_cycles,
-                                            fast_forward=fast_forward,
-                                            blockgen=blockgen))
+    if sliced:
+        cycles = run_sliced(machine, spec.max_cycles, SLICE_CYCLES)
+    else:
+        cycles = machine.run(options=RunOptions(
+            max_cycles=spec.max_cycles, fast_forward=fast_forward,
+            blockgen=blockgen))
     wall = time.perf_counter() - start
     return cycles, machine.total_retired(), wall, machine
 
@@ -116,17 +146,17 @@ def run_case(name: str) -> Dict:
         return registry.REGISTRY[bench].variants[variant](**kwargs)
 
     spec = make_spec()
-    walls: Dict[str, List[float]] = {leg: [] for leg, _, _ in LEGS}
+    walls: Dict[str, List[float]] = {leg: [] for leg, *_ in LEGS}
     results: Dict[str, Tuple[int, int]] = {}
     # Interleave repeats round-robin across legs so slow host drift (CPU
     # frequency, thermal) spreads evenly instead of biasing one leg.
     engagement: Dict[str, int] = {}
     for _ in range(BENCH_REPEATS):
-        for leg, fast_forward, blockgen in LEGS:
+        for leg, fast_forward, blockgen, sliced in LEGS:
             cycles, retired, wall, machine = _run_once(
-                make_spec, fast_forward, blockgen)
+                make_spec, fast_forward, blockgen, sliced)
             walls[leg].append(wall)
-            if blockgen:
+            if leg == "blockgen":
                 runners = machine._bg_runners.values()
                 engagement = {
                     "windows": sum(r.windows for r in runners),
@@ -141,7 +171,7 @@ def run_case(name: str) -> Dict:
                     f"bench case {name!r} ({spec.name}): {leg} leg is "
                     f"not deterministic")
     reference = results["naive"]
-    for leg, _, _ in LEGS:
+    for leg, *_ in LEGS:
         if results[leg] != reference:
             raise SimulationError(
                 f"bench case {name!r} ({spec.name}): {leg} diverged — "
@@ -154,7 +184,7 @@ def run_case(name: str) -> Dict:
         "cycles": cycles,
         "retired": retired,
     }
-    for leg, _, _ in LEGS:
+    for leg, *_ in LEGS:
         row[leg] = _leg_stats(cycles, walls[leg])
     if engagement:
         # Informational (never gated): how much of the blockgen leg ran
@@ -273,10 +303,13 @@ def check_report(fresh: Dict, baseline: Dict) -> List[str]:
 
     Simulated results (final cycles and retired instructions) must match
     exactly for every case the two reports share — they are deterministic,
-    so any drift is a behaviour change, not noise.  Wall-clock numbers are
-    informational only and never fail the check.  Schema-1 baselines
-    (before the blockgen leg and the spread/host keys) remain readable:
-    the gated keys are identical in both layouts.  Returns a list of
+    so any drift is a behaviour change, not noise.  Absolute wall-clock
+    numbers are informational only; the one timing gate is the fresh
+    report's own ``sliced``/``blockgen`` median ratio per case (at most
+    :data:`SLICED_RATIO_LIMIT`), which compares two legs of the same
+    run.  Older baselines (schema 1 before the blockgen leg and the
+    spread/host keys, schema 2 before the sliced leg) remain readable:
+    the gated keys are identical in every layout.  Returns a list of
     failure messages (empty when the gate passes).
     """
     failures: List[str] = []
@@ -297,6 +330,16 @@ def check_report(fresh: Dict, baseline: Dict) -> List[str]:
                 failures.append(
                     f"{name}: {key} changed {want} -> {got} "
                     f"(simulated results must be exact)")
+    for row in fresh["cases"]:
+        if "sliced" not in row or "blockgen" not in row:
+            continue
+        ratio = (row["sliced"]["wall_median_s"]
+                 / row["blockgen"]["wall_median_s"])
+        if ratio > SLICED_RATIO_LIMIT:
+            failures.append(
+                f"{row['case']}: sliced leg (heartbeat sink attached) "
+                f"took {ratio:.2f}x the blockgen leg's median wall time "
+                f"(limit {SLICED_RATIO_LIMIT:.2f}x)")
     return failures
 
 
@@ -327,5 +370,9 @@ def format_report(report: Dict) -> str:
                      f"{row['blockgen_speedup']:.2f}x")
         else:
             line += f"  speedup {row['speedup']:.2f}x"
+        if "sliced" in row:
+            ratio = (row["sliced"]["wall_median_s"]
+                     / row["blockgen"]["wall_median_s"])
+            line += f"  sliced/blockgen {ratio:.2f}x"
         lines.append(line)
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import (Any, Callable, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
-from repro.obs.events import PIPELINE_KINDS, Event
+from repro.obs.events import CORE_KINDS, PIPELINE_KINDS, Event
 
 
 class Sink:
@@ -40,19 +40,29 @@ class Sink:
 class EventBus:
     """Dispatches published events to attached sinks.
 
-    ``active`` is the publisher-side fast-path guard: it is True iff at
-    least one sink is attached.  Publishers must check it before building
-    event payloads.  ``pipeline_active`` additionally gates the
-    per-instruction cpu kinds (fetch/dispatch/issue/complete/retire/
-    flush), which are orders of magnitude more frequent than everything
-    else: it is True only when some sink's filter can match them, so a
-    Perfetto or profiler sink does not force per-instruction payloads.
+    Three publisher-side guards, each a plain bool kept current by
+    :meth:`attach`/:meth:`detach`:
+
+    * ``active`` — at least one sink is attached.  Publishers must check
+      it before building event payloads; it gates the shared-code kinds
+      (SPL controllers, memory hierarchy, machine/system events).
+    * ``core_active`` — some sink's filter can match a kind only the
+      interpreted core tick emits (``cycle_span`` or a per-instruction
+      pipeline kind).  It gates per-cycle span bookkeeping and whether
+      the machine may open compiled (blockgen) windows, which emit
+      neither; a heartbeat-, SPL- or memory-only sink leaves it False.
+    * ``pipeline_active`` — some sink's filter can match the
+      per-instruction cpu kinds (fetch/dispatch/issue/complete/retire/
+      flush), orders of magnitude more frequent than everything else,
+      so a Perfetto or profiler sink does not force per-instruction
+      payloads (it also gates the fast-forward scheduler).
     """
 
-    __slots__ = ("active", "pipeline_active", "_routes")
+    __slots__ = ("active", "core_active", "pipeline_active", "_routes")
 
     def __init__(self) -> None:
         self.active = False
+        self.core_active = False
         self.pipeline_active = False
         # (sink, kinds-or-None, sources-or-None) triples.
         self._routes: List[Tuple[Sink, Optional[FrozenSet[str]],
@@ -81,6 +91,9 @@ class EventBus:
 
     def _recompute(self) -> None:
         self.active = bool(self._routes)
+        self.core_active = any(
+            kinds is None or kinds & CORE_KINDS
+            for _sink, kinds, _sources in self._routes)
         self.pipeline_active = any(
             kinds is None or kinds & PIPELINE_KINDS
             for _sink, kinds, _sources in self._routes)

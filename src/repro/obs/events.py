@@ -61,6 +61,11 @@ CYCLE_SPAN = "cycle_span"
 PIPELINE_KINDS = frozenset(
     (FETCH, DISPATCH, ISSUE, COMPLETE, RETIRE, FLUSH))
 
+#: Kinds only the interpreted core tick emits (compiled blockgen windows
+#: emit none of them): a sink matching any of these keeps cores on the
+#: interpreted path.
+CORE_KINDS = PIPELINE_KINDS | {CYCLE_SPAN}
+
 # -- core (SPL fabric, queues, tables) ----------------------------------------
 SPL_STAGE = "spl_stage"
 QUEUE_PUSH = "queue_push"

@@ -8,9 +8,10 @@ callback — in the server, the callback writes the sample down a pipe to
 the parent process, which fans it out to Server-Sent-Events
 subscribers.
 
-Subscribing only to :data:`~repro.obs.events.HEARTBEAT` keeps
-``pipeline_active`` False, so attaching a ProgressSink never disables
-the fast-forward scheduler and never changes simulated cycle counts.
+Subscribing only to :data:`~repro.obs.events.HEARTBEAT` sets the bus's
+``active`` flag but keeps ``core_active`` and ``pipeline_active`` False,
+so attaching a ProgressSink disables neither the fast-forward scheduler
+nor compiled blockgen windows, and never changes simulated cycle counts.
 """
 
 from __future__ import annotations

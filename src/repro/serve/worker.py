@@ -13,8 +13,10 @@ tests in tests/test_serve.py hold the service to that.
 Heartbeats travel through the machine's own observability bus: the
 worker publishes a ``heartbeat`` event at each slice boundary and a
 :class:`~repro.obs.progress.ProgressSink` forwards it down the pipe.
-Subscribing only to the heartbeat kind keeps ``pipeline_active`` False,
-so the fast-forward scheduler stays engaged.
+Subscribing only to the heartbeat kind leaves the bus's ``core_active``
+and ``pipeline_active`` flags False (``active`` alone is set), so both
+the fast-forward scheduler and compiled blockgen windows stay engaged:
+a watched job runs as fast as an unwatched one.
 
 Pipe protocol (worker -> server), all JSON-safe tuples:
 
@@ -57,15 +59,24 @@ def execute_sliced(spec: RunSpec,
     machine.load(spec.workload)
     if on_sample is not None:
         machine.obs.attach(ProgressSink(on_sample), kinds=ProgressSink.KINDS)
-    budget_end = machine.cycle + spec.max_cycles
+    run_sliced(machine, spec.max_cycles, heartbeat_cycles)
+    return finalize(machine, spec, machine.cycle, check=check)
+
+
+def run_sliced(machine: Machine, max_cycles: int,
+               heartbeat_cycles: int = HEARTBEAT_CYCLES) -> int:
+    """Run a loaded ``machine`` to completion in ``pause_at`` slices of
+    ``heartbeat_cycles``, publishing a heartbeat after each; returns the
+    final cycle.  ``max_cycles`` bounds the whole run, not one slice.
+    """
+    budget_end = machine.cycle + max_cycles
     while True:
         target = min(machine.cycle + heartbeat_cycles, budget_end)
         machine.run(options=RunOptions(
             max_cycles=budget_end - machine.cycle, pause_at=target))
         publish_heartbeat(machine)
         if machine.finished() or machine.cycle >= budget_end:
-            break
-    return finalize(machine, spec, machine.cycle, check=check)
+            return machine.cycle
 
 
 def job_worker_main(conn, request_data: Dict,

@@ -237,6 +237,15 @@ class Machine:
         stats totals are identical (see DESIGN.md and
         tests/test_fastforward.py).
 
+        ``options.blockgen`` adds compiled block windows
+        (:mod:`repro.cpu.blockgen`) on top.  They are skipped while an
+        ``until`` predicate is supplied or while a sink can receive a
+        kind only the interpreted core tick emits — ``cycle_span`` or a
+        pipeline kind (``obs.core_active``).  Heartbeat-, SPL-, memory-
+        and system-only sinks keep compiled windows on: those kinds are
+        published by code the compiled windows share, so a sink sees the
+        same events either way.
+
         ``options.pause_at`` stops the loop at exactly that absolute cycle
         *without* flushing fast-forward elision windows and without the
         max-cycles overrun error: the machine is left in the precise state
@@ -295,7 +304,7 @@ class Machine:
             nxt = cycle + 1
             advanced = False
             if (use_bg and cycle >= self._bg_resume_probe
-                    and not self.obs.active):
+                    and not self.obs.core_active):
                 done = self._try_block_window(nxt, min(stop, next_watchdog),
                                               use_ff)
                 if done > nxt:

@@ -98,6 +98,36 @@ class TestParityGate:
         assert sliced.counters == direct.counters
         assert sliced.to_dict() == direct.to_dict()
 
+    @pytest.mark.parametrize("bench,variant,params", [
+        ("g721dec", "seq", {"items": 16}),
+        ("ll2", "barrier", {"n": 32, "p": 4}),
+    ])
+    def test_sliced_with_sink_matches_and_runs_compiled(
+            self, monkeypatch, bench, variant, params):
+        """The worker's real path — heartbeat sink attached, 500-cycle
+        slices cutting windows and bursts mid-run — is byte-exact
+        against execute() and still runs compiled windows."""
+        from repro.experiments.engine import build_spec
+        from repro.experiments.runner import execute
+        from repro.serve import worker
+        machines = []
+
+        class RecordingMachine(worker.Machine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+
+        monkeypatch.setattr(worker, "Machine", RecordingMachine)
+        samples = []
+        sliced = worker.execute_sliced(
+            build_spec(request(bench, variant, **params)),
+            on_sample=samples.append, heartbeat_cycles=500)
+        direct = execute(build_spec(request(bench, variant, **params)))
+        assert json.dumps(sliced.to_dict(), sort_keys=True) == \
+            json.dumps(direct.to_dict(), sort_keys=True)
+        assert len(samples) >= 2
+        assert machines[0]._bg_multi.fused_cycles > 0
+
     def test_sliced_run_emits_heartbeats(self, tmp_path):
         from repro.experiments.engine import build_spec
         from repro.serve.worker import execute_sliced
